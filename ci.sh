@@ -19,8 +19,8 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1 build: cargo build --release (lint below reuses the artifact) =="
-cargo build --release
+echo "== release build of every workspace binary (the lint and benches below run them) =="
+cargo build --release --workspace --bins
 
 echo "== seccloud-lint (token rules + interprocedural taint / panic_path / arith / dispatch / ctflow / vartime / atomics / locks / blocking / deadline) =="
 lint_start=$(date +%s%N)

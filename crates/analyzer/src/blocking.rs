@@ -39,11 +39,12 @@ pub(crate) const B_PAIRING: u8 = 16;
 /// Function names that *are* the heavy pairing entry points: holding a
 /// lock across one serializes every contending audit thread behind
 /// milliseconds of field arithmetic.
-const PAIRING_ENTRY_POINTS: [&str; 4] = [
+const PAIRING_ENTRY_POINTS: [&str; 5] = [
     "miller_loop",
     "multi_miller_loop",
     "final_exponentiation",
     "weighted_fold",
+    "checked_weighted_fold",
 ];
 
 /// Channel methods that block the caller (`try_send`/`try_recv` are the

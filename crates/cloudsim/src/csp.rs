@@ -134,21 +134,27 @@ impl Csp {
     }
 
     /// Stores signed blocks with SLA-governed replication: block `i` lands
-    /// on servers `i mod n, …, (i + replication − 1) mod n`.
+    /// on servers `i mod n, …, (i + replication − 1) mod n`. Each server
+    /// receives its share as one upload, in block order, so it checks the
+    /// share with one batch.
     ///
     /// Returns the number of (block, server) placements accepted.
     pub fn store(&mut self, owner: &CloudUser, blocks: &[SignedBlock]) -> usize {
         let n = self.servers.len();
-        let mut accepted = 0;
+        let mut shares: Vec<Vec<SignedBlock>> = vec![Vec::new(); n];
         for (i, block) in blocks.iter().enumerate() {
             for r in 0..self.sla.replication.min(n) {
-                let target = (i + r) % n;
-                if let Some(server) = self.servers.get_mut(target) {
-                    accepted += server.store(owner, vec![block.clone()]);
+                if let Some(share) = shares.get_mut((i + r) % n) {
+                    share.push(block.clone());
                 }
             }
         }
-        accepted
+        self.servers
+            .iter_mut()
+            .zip(shares)
+            .filter(|(_, share)| !share.is_empty())
+            .map(|(server, share)| server.store(owner, share))
+            .sum()
     }
 
     /// Splits a request into per-server slices (round-robin chunks capped
@@ -340,6 +346,28 @@ mod tests {
                     .any(|s| s.retrieve("alice", pos).is_some()),
                 "position {pos}"
             );
+        }
+    }
+
+    #[test]
+    fn each_replica_refuses_a_tampered_block_and_keeps_the_rest() {
+        // Every server checks its whole share as one upload; a bad block
+        // costs exactly its own placements, on each of its replicas.
+        let (_, user, da, mut csp) = world(4);
+        let blocks: Vec<DataBlock> = (0..8)
+            .map(|i| DataBlock::from_values(i, &[i, i + 1, i + 2]))
+            .collect();
+        let mut verifiers: Vec<_> = csp.servers().iter().map(|s| s.public().clone()).collect();
+        verifiers.push(da.public().clone());
+        let refs: Vec<&_> = verifiers.iter().collect();
+        let mut signed = user.sign_blocks(&blocks, &refs);
+        signed[5].tamper_data(b"tampered in transit".to_vec());
+        assert_eq!(csp.store(&user, &signed), 14, "8 blocks × 2 replicas − 2");
+        for (i, server) in csp.servers().iter().enumerate() {
+            for pos in 0..8u64 {
+                let placed = (pos as usize % 4 == i || (pos as usize + 1) % 4 == i) && pos != 5;
+                assert_eq!(server.retrieve("alice", pos).is_some(), placed, "{i}/{pos}");
+            }
         }
     }
 

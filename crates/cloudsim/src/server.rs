@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use seccloud_core::computation::{
     AuditChallenge, AuditResponse, Commitment, CommitmentSession, ComputationRequest,
 };
-use seccloud_core::storage::SignedBlock;
+use seccloud_core::storage::{audit_blocks_batched, SignedBlock};
 use seccloud_core::warrant::{Warrant, WarrantError};
 use seccloud_core::{CloudUser, Sio, VerifierCredential};
 use seccloud_hash::HmacDrbg;
@@ -173,10 +173,18 @@ impl CloudServer {
     /// Ingest path keyed by the owner's *public* identity data — what a
     /// remote server actually has (used by the byte-level [`crate::rpc`]
     /// layer).
+    ///
+    /// One randomized batch check (paper Section VI) covers an upload of
+    /// two or more blocks. Only when it fails — a bad block, or one not
+    /// designated to this server — does every block get its own pairing,
+    /// so the accepted set, and with it the behaviour's DRBG draws, is
+    /// exactly the per-block one. A single block is checked on its own:
+    /// the batch would add a membership test and a fold to its pairing.
     pub fn store_public(&mut self, owner: &UserPublic, blocks: Vec<SignedBlock>) -> usize {
+        let all_valid = blocks.len() >= 2 && audit_blocks_batched(self.cred.key(), owner, &blocks);
         let mut accepted = 0;
         for mut block in blocks {
-            if !block.verify(self.cred.key(), owner) {
+            if !all_valid && !block.verify(self.cred.key(), owner) {
                 continue;
             }
             if let Behavior::PrivacyLeaker = self.behavior {
@@ -345,6 +353,9 @@ mod tests {
     use super::*;
     use seccloud_core::computation::{ComputeFunction, RequestItem};
     use seccloud_core::storage::DataBlock;
+    use seccloud_ibs::DesignatedSignature;
+    use seccloud_pairing::traits::FieldElement;
+    use seccloud_pairing::Gt;
 
     fn setup(behavior: Behavior) -> (Sio, CloudUser, CloudServer, VerifierCredential) {
         let sio = Sio::new(b"server-tests");
@@ -396,6 +407,126 @@ mod tests {
         let other = sio.register_verifier("cs-02");
         let foreign = user.sign_blocks(&blocks(1), &[other.public()]);
         assert_eq!(server.store(&user, foreign), 0);
+    }
+
+    /// A 16-block upload, designated to the server and the DA, with block
+    /// 9 replaced by `bad(block)`.
+    fn upload_with_bad_block(
+        user: &CloudUser,
+        server: &CloudServer,
+        da: &VerifierCredential,
+        bad: impl Fn(&SignedBlock) -> SignedBlock,
+    ) -> Vec<SignedBlock> {
+        let mut signed = user.sign_blocks(&blocks(16), &[server.public(), da.public()]);
+        signed[9] = bad(&signed[9]);
+        signed
+    }
+
+    #[test]
+    fn ingest_batch_accepts_exactly_the_valid_blocks() {
+        let (_, user, mut server, da) = setup(Behavior::Honest);
+        let cs = server.identity().to_owned();
+        let tampered = upload_with_bad_block(&user, &server, &da, |b| {
+            let mut b = b.clone();
+            b.tamper_data(b"tampered in transit".to_vec());
+            b
+        });
+        let negated_sigma = upload_with_bad_block(&user, &server, &da, |b| {
+            let designations = b
+                .designations()
+                .map(|(id, sig)| {
+                    let sig = if id == cs {
+                        // −Σ as a wire adversary writes it: outside GT.
+                        let negated = sig.sigma().as_fp12().neg().to_bytes();
+                        let negated = Gt::from_bytes(&negated).expect("canonical");
+                        DesignatedSignature::from_parts(*sig.u(), negated)
+                    } else {
+                        sig.clone()
+                    };
+                    (id.to_owned(), sig)
+                })
+                .collect();
+            SignedBlock::from_parts(b.block().clone(), designations)
+        });
+        let undesignated = upload_with_bad_block(&user, &server, &da, |b| {
+            let designations = b
+                .designations()
+                .filter(|(id, _)| *id != cs)
+                .map(|(id, sig)| (id.to_owned(), sig.clone()))
+                .collect();
+            SignedBlock::from_parts(b.block().clone(), designations)
+        });
+        for (name, upload) in [
+            ("tampered", tampered),
+            ("negated Σ", negated_sigma),
+            ("undesignated", undesignated),
+        ] {
+            assert!(
+                !upload[9].verify(server.cred.key(), user.public()),
+                "{name}"
+            );
+            assert_eq!(server.store(&user, upload), 15, "{name}");
+            assert!(server.retrieve("alice", 9).is_none(), "{name}");
+        }
+        let clean = user.sign_blocks(&blocks(16), &[server.public(), da.public()]);
+        assert_eq!(server.store(&user, clean), 16);
+        assert_eq!(server.stored_count("alice"), 16);
+    }
+
+    /// What every behaviour kept and leaked after a clean 16-block upload
+    /// and one with a tampered block, as one digest. The values were
+    /// recorded with per-block ingest verification, so they pin the
+    /// accepted set and the order of the behaviour's DRBG draws.
+    fn ingest_outcome(behavior: Behavior) -> String {
+        let (_, user, mut server, da) = setup(behavior);
+        let mut first = user.sign_blocks(&blocks(16), &[server.public(), da.public()]);
+        first[3].tamper_data(b"bad".to_vec());
+        let second: Vec<SignedBlock> = user
+            .sign_blocks(&blocks(32), &[server.public(), da.public()])
+            .split_off(16);
+        let counts = [server.store(&user, first), server.store(&user, second)];
+        let mut h = seccloud_hash::Sha256::new();
+        h.update(format!("{counts:?}").as_bytes());
+        for pos in 0..34 {
+            if let Some(b) = server.retrieve("alice", pos) {
+                h.update(&pos.to_be_bytes());
+                h.update(&b.block().signed_message());
+            }
+        }
+        for (owner, b) in &server.leaked {
+            h.update(owner.as_bytes());
+            h.update(&b.block().signed_message());
+        }
+        h.finalize().iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    #[test]
+    fn seeded_behaviour_outcomes_are_unchanged_by_batched_ingest() {
+        let attack = |attack| Behavior::StorageCheater { ssc: 0.5, attack };
+        for (behavior, want) in [
+            (
+                Behavior::Honest,
+                "649ad84c8d12e2fb710372d48e0f7a9694b57446670382813034499aaadb3c5f",
+            ),
+            (
+                Behavior::PrivacyLeaker,
+                "413fe1644dc74cd8957064268ae93f7d8e6ff18f3b26ead6746f0b9615ae9cf5",
+            ),
+            (
+                attack(StorageAttack::Delete),
+                "307a5ceed167a28a7a120924c57537c778d2ed9967e537c18f7bf75e79ad4cba",
+            ),
+            (
+                attack(StorageAttack::Corrupt),
+                "59238ed12e4991ac9b4dd5148efe1d4d13c8774966cf324ee0ad0da5a6af43a6",
+            ),
+            (
+                attack(StorageAttack::WrongPosition),
+                "1583275c1e5b5b57383f18524e969c0228e216adb8429a598bf2b1a57e57afaa",
+            ),
+        ] {
+            assert_eq!(ingest_outcome(behavior.clone()), want, "{behavior:?}");
+        }
     }
 
     #[test]

@@ -23,15 +23,18 @@
 //! ```
 //!
 //! A batch containing any invalid signature now survives with
-//! probability ≤ 2⁻⁶⁴ per verification attempt, coordinated or not.
+//! probability ≤ 2⁻⁶⁴ per verification attempt, coordinated or not —
+//! provided every `Σᵢ` lies in `GT`, which the check tests first: a
+//! wire-supplied `−Σᵢ` has an order-2 factor that every even weight
+//! erases, so without the test such a batch passes half the time.
 //! Individual verification costs one pairing per signature; the batch
 //! still costs one pairing total plus the weighted fold, whose marginal
-//! per-signature cost is a few `G1`/`GT` group operations via the shared
-//! bucket multi-exponentiation in [`seccloud_pairing::weighted_fold`] —
+//! per-signature cost is a membership test and a few `G1`/`GT` group
+//! operations via [`seccloud_pairing::checked_weighted_fold`] —
 //! the constant-vs-linear gap of Fig. 5 and Table II is preserved.
 
 use seccloud_hash::{entropy_seed, HmacDrbg};
-use seccloud_pairing::{pairing_prepared, weighted_fold, Fr, Gt, G1};
+use seccloud_pairing::{checked_weighted_fold, pairing_prepared, Fr, Gt, G1};
 
 use crate::keys::{UserPublic, VerifierKey};
 use crate::sign::{challenge_hash, DesignatedSignature};
@@ -137,14 +140,22 @@ impl BatchVerifier {
 
     /// The batch check against an explicit prepared key handle (callers
     /// that amortize `sk_V` lookups through a
-    /// [`seccloud_pairing::cache::PreparedCache`] — e.g. the sharded epoch
-    /// verifier — resolve the handle once and reuse it).
+    /// [`seccloud_pairing::cache::PreparedCache`] resolve the handle once
+    /// and reuse it).
+    ///
+    /// Every `Σ` must lie in `GT` before it is weighted: a wire-supplied
+    /// non-member such as `−Σ` carries an order-2 factor that vanishes
+    /// under every even weight, so without the membership test of
+    /// [`checked_weighted_fold`] the batch would accept it about half the
+    /// time.
     pub fn verify_prepared(&self, prepared: &seccloud_pairing::G2Prepared) -> bool {
         if self.terms.is_empty() {
             return true;
         }
         let weights = draw_weights(self.terms.len());
-        let (u, sigma) = weighted_fold(&self.terms, &weights);
+        let Some((u, sigma)) = checked_weighted_fold(&self.terms, &weights) else {
+            return false;
+        };
         pairing_prepared(&u.to_affine(), prepared).ct_eq(&sigma)
     }
 

@@ -24,12 +24,12 @@ pub trait CurveParams: 'static + Copy + Clone + Send + Sync {
 /// wNAF window width shared by all scalar-multiplication entry points.
 const WNAF_W: i64 = 4;
 /// Odd-multiple table size for [`WNAF_W`]: `{1, 3, 5, 7}·P`.
-const WNAF_TABLE: usize = 1 << (WNAF_W - 2);
+pub(crate) const WNAF_TABLE: usize = 1 << (WNAF_W - 2);
 
 /// Recodes a little-endian limb scalar into width-[`WNAF_W`] non-adjacent
-/// form digits (LSB first): each digit is odd in `(−2^w, 2^w)` or zero, and
-/// no two adjacent digits are both nonzero.
-fn wnaf_digits(scalar: &[u64]) -> Vec<i64> {
+/// form digits (LSB first): each nonzero digit is odd in `[−7, 7]`, and
+/// any [`WNAF_W`] consecutive digits hold at most one nonzero.
+pub(crate) fn wnaf_digits(scalar: &[u64]) -> Vec<i64> {
     let mut digits: Vec<i64> = Vec::with_capacity(scalar.len() * 64 + 1);
     // Work on a mutable little-endian copy.
     let mut limbs = scalar.to_vec();
@@ -229,7 +229,7 @@ impl<C: CurveParams> Point<C> {
 
     /// Precomputes the odd multiples `{P, 3P, 5P, 7P}` used by every wNAF
     /// evaluation loop.
-    fn odd_table(&self) -> [Self; WNAF_TABLE] {
+    pub(crate) fn odd_table(&self) -> [Self; WNAF_TABLE] {
         let mut table = [*self; WNAF_TABLE];
         let twice = self.double();
         for i in 1..WNAF_TABLE {
@@ -240,7 +240,7 @@ impl<C: CurveParams> Point<C> {
 
     /// Adds the table entry selected by a signed wNAF digit (no-op for 0).
     #[inline]
-    fn add_digit(acc: Self, table: &[Self; WNAF_TABLE], digit: i64) -> Self {
+    pub(crate) fn add_digit(acc: Self, table: &[Self; WNAF_TABLE], digit: i64) -> Self {
         match digit.cmp(&0) {
             core::cmp::Ordering::Greater => acc.add(&table[(digit as usize - 1) / 2]),
             core::cmp::Ordering::Less => acc.add(&table[((-digit) as usize - 1) / 2].neg()),

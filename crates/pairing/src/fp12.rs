@@ -181,6 +181,19 @@ impl Fp12 {
         acc
     }
 
+    /// The twelve `Fp` coefficients, big-endian, in the order `Gt::from_bytes`
+    /// reads them (384 bytes).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(384);
+        for c6 in [&self.c0, &self.c1] {
+            for c2 in [&c6.c0, &c6.c1, &c6.c2] {
+                out.extend_from_slice(&c2.c0.to_be_bytes());
+                out.extend_from_slice(&c2.c1.to_be_bytes());
+            }
+        }
+        out
+    }
+
     /// Multiplies every coefficient by an `Fp` scalar (used when clearing
     /// line denominators). Kept private to the pairing module.
     #[doc(hidden)]

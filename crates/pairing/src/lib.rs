@@ -68,7 +68,7 @@ pub use fp6::Fp6;
 pub use fr::Fr;
 pub use g1::{hash_to_g1, G1Affine, G1Params, G1};
 pub use g2::{hash_to_g2, G2Affine, G2Params, G2};
-pub use msm::{weighted_fold, WEIGHT_BITS};
+pub use msm::{checked_weighted_fold, weighted_fold, WEIGHT_BITS};
 pub use pairing::{
     final_exponentiation, multi_pairing, multi_pairing_tate, pairing, pairing_tate, Gt,
 };

@@ -8,6 +8,7 @@
 
 use seccloud_bigint::U256;
 
+use crate::ec::{wnaf_digits, WNAF_TABLE};
 use crate::fp::Fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
@@ -56,6 +57,13 @@ impl Gt {
         Gt(self.0.mul(&rhs.0))
     }
 
+    /// Squaring by the generic `Fp12` formula, valid for any value — also
+    /// one outside `GT`, unlike the cyclotomic shortcut.
+    #[must_use]
+    pub(crate) fn square(&self) -> Self {
+        Gt(self.0.square())
+    }
+
     /// Group inverse — for unitary `GT` elements this is conjugation, which
     /// is far cheaper than a field inversion.
     #[must_use]
@@ -92,12 +100,59 @@ impl Gt {
         Gt(v)
     }
 
+    /// Whether this value lies in the order-`r` subgroup `GT` — an exact
+    /// test, for values decoded by [`Gt::from_bytes`] from the wire.
+    ///
+    /// Two relations, built from Frobenius maps and one short chain:
+    ///
+    /// 1. cyclotomic: `f^(p⁴)·f = f^(p²)`, i.e. `f^(p⁴−p²+1) = 1`, so `f`
+    ///    lies in the order-`r·h_T` subgroup where Granger–Scott squaring
+    ///    and conjugate-as-inverse are valid;
+    /// 2. the BN optimal-ate relation `f^(6x+2)·f^p·f^(p³) = f^(p²)`, i.e.
+    ///    `f^e = 1` with `e = 6x+2+p−p²+p³`.
+    ///
+    /// On that subgroup, `f^e = 1` iff `f^r = 1`, because `r | e` and
+    /// `gcd(e/r, h_T) = 1` (both derived from [`params`] in the
+    /// `gt_membership_exponent_is_exact` test). Costs 66 cyclotomic
+    /// squarings and 17 multiplications, about a sixth of a pairing.
+    ///
+    /// Variable time: the input is public (a wire-supplied `Σ`).
+    pub fn is_in_subgroup(&self) -> bool {
+        self.member_odd_powers(&ate_loop_digits()).is_some()
+    }
+
+    /// The test of [`Gt::is_in_subgroup`], returning for a member the odd
+    /// powers `[f, f³, f⁵, f⁷]` its chain was built from, so that a caller
+    /// raising `f` to a power next reuses them. `ate_digits` is
+    /// [`ate_loop_digits`], recoded once by callers testing many values.
+    pub(crate) fn member_odd_powers(&self, ate_digits: &[i64]) -> Option<[Fp12; WNAF_TABLE]> {
+        let f = &self.0;
+        if f.is_zero() {
+            return None;
+        }
+        let f_p2 = f.frobenius_p2();
+        if f_p2.frobenius_p2().mul(f) != f_p2 {
+            return None;
+        }
+        let odd = cyclotomic_odd_powers(f);
+        let f_p3 = f_p2.frobenius_p();
+        let lhs = cyclotomic_pow_wnaf(&odd, ate_digits)
+            .mul(&f.frobenius_p())
+            .mul(&f_p3);
+        (lhs == f_p2).then_some(odd)
+    }
+
     /// Deserializes a `GT` element from the 384-byte encoding of
     /// [`Gt::to_bytes`], checking that every coefficient is canonical.
     ///
-    /// Subgroup membership is *not* checked (it would cost an `r`-power);
-    /// a non-subgroup value is harmless here because `Gt` is only ever
-    /// compared against freshly computed pairings during verification.
+    /// Subgroup membership is *not* checked here: the result may be any
+    /// `Fp12` value, such as `−Σ` or `Σ` times a cyclotomic element of
+    /// order dividing `h_T = (p⁴−p²+1)/r`. Compared alone against a fresh
+    /// pairing that is harmless, but a verifier that raises several such
+    /// values to random weights and multiplies them (the batch check of
+    /// `seccloud_ibs::BatchVerifier`) must first reject non-members with
+    /// [`Gt::is_in_subgroup`], as `checked_weighted_fold` does, or an
+    /// order-2 error term cancels under every even weight.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != 384 {
             return None;
@@ -119,14 +174,7 @@ impl Gt {
     /// Serializes the canonical representative (384 bytes: the twelve `Fp`
     /// coefficients, big-endian).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(384);
-        for c6 in [&self.0.c0, &self.0.c1] {
-            for c2 in [&c6.c0, &c6.c1, &c6.c2] {
-                out.extend_from_slice(&c2.c0.to_be_bytes());
-                out.extend_from_slice(&c2.c1.to_be_bytes());
-            }
-        }
-        out
+        self.0.to_bytes()
     }
 }
 
@@ -262,6 +310,46 @@ fn final_exp_hard_part_chain(f: &Fp12) -> Fp12 {
     t2.cyclotomic_square().mul(&t1)
 }
 
+/// The width-4 signed digits of the optimal-ate loop length `6x + 2`,
+/// least significant first: 12 nonzero, against 37 set bits in binary.
+pub(crate) fn ate_loop_digits() -> Vec<i64> {
+    wnaf_digits(&crate::ate::loop_count().to_le_limbs())
+}
+
+/// `[f, f³, f⁵, f⁷]` for `f` in the cyclotomic subgroup: the table a
+/// width-4 signed-digit chain draws from.
+fn cyclotomic_odd_powers(f: &Fp12) -> [Fp12; WNAF_TABLE] {
+    let f2 = f.cyclotomic_square();
+    let mut odd = [*f; WNAF_TABLE];
+    for i in 1..WNAF_TABLE {
+        odd[i] = odd[i - 1].mul(&f2);
+    }
+    odd
+}
+
+/// `acc · f^digit` for a nonzero odd `digit` in `[−7, 7]`, given the odd
+/// powers of a cyclotomic `f`, with conjugation as the free inverse and
+/// `None` standing for the identity, so no multiplication by one is paid.
+pub(crate) fn times_odd_power(acc: Option<Fp12>, odd: &[Fp12; WNAF_TABLE], digit: i64) -> Fp12 {
+    let power = odd[(digit.unsigned_abs() as usize - 1) / 2];
+    let power = if digit < 0 { power.conjugate() } else { power };
+    acc.map_or(power, |a| a.mul(&power))
+}
+
+/// `f^k` for cyclotomic `f`, from its odd powers and the width-4 signed
+/// digits of `k` (least significant first): Granger–Scott squarings, one
+/// multiplication per nonzero digit.
+fn cyclotomic_pow_wnaf(odd: &[Fp12; WNAF_TABLE], digits: &[i64]) -> Fp12 {
+    let mut acc: Option<Fp12> = None;
+    for &digit in digits.iter().rev() {
+        acc = acc.map(|a| a.cyclotomic_square());
+        if digit != 0 {
+            acc = Some(times_odd_power(acc, odd, digit));
+        }
+    }
+    acc.unwrap_or_else(Fp12::one)
+}
+
 /// The final exponentiation `f ↦ f^((p¹²−1)/r)`.
 ///
 /// Easy part via Frobenius (`(p⁶−1)(p²+1)`), hard part by the
@@ -377,6 +465,101 @@ mod tests {
                 cyc.cyclotomic_pow(params::final_exp_hard_part()),
                 "sample {i}"
             );
+        }
+    }
+
+    /// A random `Fp12` element from a tagged hash (not in any subgroup).
+    fn raw_fp12(tag: &[u8], i: u32) -> Fp12 {
+        let c = |k: u8| Fp2::from_hash(&[tag, &[k]].concat(), &i.to_be_bytes());
+        Fp12::new(Fp6::new(c(0), c(1), c(2)), Fp6::new(c(3), c(4), c(5)))
+    }
+
+    /// The easy part `f^((p⁶−1)(p²+1))`: a cyclotomic element whose order
+    /// divides `r·h_T`, almost never `r` alone.
+    fn easy_part(f: &Fp12) -> Fp12 {
+        let f = f.conjugate().mul(&f.inverse().expect("nonzero"));
+        f.frobenius_p2().mul(&f)
+    }
+
+    /// The definition: nonzero and `f^r = 1`.
+    fn naive_member(g: &Gt) -> bool {
+        !g.0.is_zero() && g.0.pow_apint(params::r_apint()) == Fp12::one()
+    }
+
+    #[test]
+    fn gt_membership_exponent_is_exact() {
+        // e = 6x+2+p−p²+p³ must be a multiple of r whose cofactor e/r
+        // shares no factor with h_T = (p⁴−p²+1)/r, so that f^e = 1 and
+        // f^r = 1 coincide on the cyclotomic subgroup of order r·h_T.
+        let p = params::p_apint();
+        let p2 = p * p;
+        let p3 = &p2 * p;
+        let sum = &(crate::ate::loop_count() + p) + &p3;
+        let e = sum.checked_sub(&p2).expect("p³ > p²");
+        let (cofactor, rem) = e.divrem(params::r_apint()).expect("r nonzero");
+        assert!(rem.is_zero(), "r | 6x+2+p−p²+p³");
+        assert!(
+            cofactor.gcd(params::final_exp_hard_part()).eq_u64(1),
+            "gcd(e/r, h_T) = 1"
+        );
+        // The signed-digit chain reconstructs 6x+2 from 12 odd digits in
+        // [−7, 7], no two within four places of each other.
+        let digits = ate_loop_digits();
+        let value = digits
+            .iter()
+            .rev()
+            .fold(0i128, |acc, &d| 2 * acc + i128::from(d));
+        assert_eq!(value, 6 * i128::from(params::BN_X) + 2);
+        assert_eq!(digits.iter().filter(|&&d| d != 0).count(), 12);
+        assert!(digits.last().is_some_and(|&d| d > 0));
+        for window in digits.windows(4) {
+            assert!(window.iter().filter(|&&d| d != 0).count() <= 1);
+        }
+        assert!(digits
+            .iter()
+            .all(|&d| d == 0 || (d % 2 != 0 && (-7..=7).contains(&d))));
+    }
+
+    #[test]
+    fn ate_loop_chain_matches_cyclotomic_pow() {
+        for i in 0..3u32 {
+            let cyc = easy_part(&raw_fp12(b"chain", i));
+            assert_eq!(
+                cyclotomic_pow_wnaf(&cyclotomic_odd_powers(&cyc), &ate_loop_digits()),
+                cyc.cyclotomic_pow(crate::ate::loop_count()),
+                "sample {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn gt_membership_agrees_with_naive_order_check() {
+        let mut members = Vec::new();
+        let mut non_members = vec![Gt(Fp12::zero())];
+        members.push(Gt::one());
+        for i in 0..3u32 {
+            let sigma = pairing(
+                &hash_to_g1(&[b"member-p".as_slice(), &i.to_be_bytes()].concat()).to_affine(),
+                &hash_to_g2(&[b"member-q".as_slice(), &i.to_be_bytes()].concat()).to_affine(),
+            );
+            members.push(sigma);
+            // −Σ: an order-2 factor times a member.
+            non_members.push(Gt(sigma.0.neg()));
+            let raw = raw_fp12(b"member", i);
+            // A member reached through the hard part, not a pairing.
+            members.push(Gt(final_exponentiation(&raw)));
+            // Cyclotomic non-members: after the easy part only.
+            non_members.push(Gt(easy_part(&raw)));
+            // Not even cyclotomic.
+            non_members.push(Gt(raw));
+        }
+        for (i, g) in members.iter().enumerate() {
+            assert!(naive_member(g), "member {i}: premise");
+            assert!(g.is_in_subgroup(), "member {i}");
+        }
+        for (i, g) in non_members.iter().enumerate() {
+            assert!(!naive_member(g), "non-member {i}: premise");
+            assert!(!g.is_in_subgroup(), "non-member {i}");
         }
     }
 

@@ -12,14 +12,20 @@
 //! corruptions whose `Σ` errors multiply to one — the cancellation that
 //! defeats an unweighted eq.-8 product — and requires the randomized
 //! fused check to reject them wherever the pair lands (same batch, same
-//! shard, or across shards). On failure the testkit shrinks the tape
+//! shard, or across shards). A third suite plants one `Σ` outside `GT`
+//! (`−Σ`, or `Σ` times a cyclotomic non-member) in a `BatchVerifier`
+//! batch, which must never verify while the individual check pinpoints
+//! it. On failure the testkit shrinks the tape
 //! toward the minimal failing subset; replay with
 //! `SECCLOUD_TESTKIT_SEED`.
 
 use std::sync::Arc;
 
-use seccloud::ibs::{designate, sign, verify_individually, BatchItem, BatchVerifier, MasterKey};
-use seccloud::pairing::G2Prepared;
+use seccloud::ibs::{
+    designate, sign, verify_individually, BatchItem, BatchVerifier, DesignatedSignature, MasterKey,
+};
+use seccloud::pairing::traits::FieldElement;
+use seccloud::pairing::{Fp12, Fp2, Fp6, Fr, G2Prepared, Gt};
 use seccloud::registry::{shard_of, EpochVerifier};
 use seccloud::testkit::{forall, Tape};
 
@@ -280,6 +286,92 @@ fn coordinated_cancelling_corruptions_never_pass_the_fused_check() {
                  (items {} and {} of {global_ix})",
                     case.first, case.second
                 ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// One `Σ` outside `GT` in an otherwise honest single-verifier batch:
+/// either `−Σ` (an order-2 factor, which every even weight erases) or `Σ`
+/// times a cyclotomic non-member built from the tape.
+#[derive(Debug, Clone)]
+struct NonMemberCase {
+    sigs: usize,
+    bad: usize,
+    /// `None` = negate `Σ`; `Some(seed)` = multiply by the easy part of a
+    /// seed-derived `Fp12` element.
+    cyclotomic: Option<u64>,
+}
+
+fn gen_non_member_case(t: &mut Tape) -> NonMemberCase {
+    let sigs = 1 + t.next_below(8) as usize;
+    NonMemberCase {
+        sigs,
+        bad: t.next_below(sigs as u64) as usize,
+        cyclotomic: t.next_bool().then(|| t.next_u64()),
+    }
+}
+
+/// An `Fp12` value as a wire `Σ`: the decoder checks no membership.
+fn wire_gt(f: &Fp12) -> Gt {
+    Gt::from_bytes(&f.to_bytes()).expect("canonical coefficients")
+}
+
+/// A cyclotomic element `y^((p⁶−1)(p²+1))` for a seed-derived `y`: its
+/// order divides `r·h_T` but, for almost every seed, not `r`.
+fn cyclotomic_non_member(seed: u64) -> Gt {
+    let c = |k: u8| Fp2::from_hash(b"non-member", &[&seed.to_be_bytes()[..], &[k]].concat());
+    let y = Fp12::new(Fp6::new(c(0), c(1), c(2)), Fp6::new(c(3), c(4), c(5)));
+    let y = y.conjugate().mul(&y.inverse().expect("nonzero"));
+    wire_gt(&y.frobenius_p2().mul(&y))
+}
+
+#[test]
+fn non_member_sigma_never_passes_the_batch() {
+    let sio = MasterKey::from_seed(b"batch-users-non-member");
+    let users: Vec<_> = (0..POOL)
+        .map(|i| sio.extract_user(&format!("tenant-{i}")))
+        .collect();
+    let verifier = sio.extract_verifier("cs");
+    let r = Fr::modulus();
+
+    forall(
+        "batch-users/non-member-sigma",
+        gen_non_member_case,
+        |case| {
+            let mut batch = BatchVerifier::new();
+            let mut items = Vec::new();
+            for j in 0..case.sigs {
+                let user = &users[j % POOL];
+                let message = format!("member block {j}").into_bytes();
+                let nonce = format!("nonce {j}").into_bytes();
+                let mut signature = designate(&sign(user, &message, &nonce), verifier.public());
+                if j == case.bad {
+                    let sigma = match case.cyclotomic {
+                        None => wire_gt(&signature.sigma().as_fp12().neg()),
+                        Some(seed) => signature.sigma().mul(&cyclotomic_non_member(seed)),
+                    };
+                    if sigma.as_fp12().pow_limbs(r.limbs()) == Fp12::one() {
+                        return Err("premise broken: the corrupted Σ is in GT".into());
+                    }
+                    signature = DesignatedSignature::from_parts(*signature.u(), sigma);
+                }
+                let item = BatchItem {
+                    signer: user.public().clone(),
+                    message,
+                    signature,
+                };
+                batch.push_item(&item);
+                items.push(item);
+            }
+            if verify_individually(&items, &verifier) != Some(case.bad) {
+                return Err("the individual check must reject exactly the bad Σ".into());
+            }
+            // Weights are fresh per attempt; an order-2 error used to pass
+            // about half of them.
+            if (0..4).any(|_| batch.verify(&verifier)) {
+                return Err("a batch holding a non-member Σ verified".into());
             }
             Ok(())
         },
