@@ -1,9 +1,8 @@
 //! Rule `atomics`: every memory-ordering choice must be justified.
 //!
-//! The workspace uses atomics in four places with security-relevant
-//! semantics: the arch-dispatch `ACTIVE` backend selector, the prepared-key
-//! cache hit/miss/eviction counters, the entropy-seed monotone counter,
-//! and the zeroize compiler fences. A wrong `Ordering` in any of them is
+//! The workspace uses atomics in three places with security-relevant
+//! semantics: the prepared-key cache hit/miss/eviction counters, the
+//! entropy-seed monotone counter, and the zeroize compiler fences. A wrong `Ordering` in any of them is
 //! silent — the code compiles, the tests pass on x86's strong memory
 //! model, and the bug only surfaces as a reordered security decision on a
 //! weakly-ordered target. So the rule is: *choosing* an ordering is an

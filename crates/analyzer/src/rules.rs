@@ -838,24 +838,15 @@ fn check_ct(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
 
 // --- rule: unsafe audit ---------------------------------------------------
 
-/// Crate roots allowed to downgrade `forbid(unsafe_code)` to
-/// `deny(unsafe_code)` so that *one* sanctioned module can opt back in with
-/// `allow(unsafe_code)` (a `forbid` cannot be overridden further down).
-const UNSAFE_DENY_ROOTS: &[&str] = &["crates/pairing/src/lib.rs"];
-
-/// Files permitted to *contain* `unsafe` at all: the parallelism crate and
-/// the pairing crate's arch-intrinsics module. Every occurrence still needs
-/// a `SAFETY:` comment.
-const UNSAFE_ALLOWED_FILES: &[&str] = &["crates/pairing/src/arch/x86_64.rs"];
-
+/// Files permitted to *contain* `unsafe` at all: the parallelism crate.
+/// Every occurrence still needs a `SAFETY:` comment.
 fn unsafe_allowed_file(path: &str) -> bool {
-    path.starts_with("crates/parallel/") || UNSAFE_ALLOWED_FILES.contains(&path)
+    path.starts_with("crates/parallel/")
 }
 
-/// Is this path a crate root that must carry `#![forbid(unsafe_code)]`
-/// (or, for [`UNSAFE_DENY_ROOTS`], at least `#![deny(unsafe_code)]`)?
+/// Is this path a crate root that must carry `#![forbid(unsafe_code)]`?
 fn is_guarded_crate_root(path: &str) -> bool {
-    if path.starts_with("crates/parallel/") {
+    if unsafe_allowed_file(path) {
         // The one crate permitted to contain `unsafe` throughout (each
         // block still needs a `SAFETY:` comment, checked below).
         return false;
@@ -885,33 +876,25 @@ fn check_unsafe(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
         is_guarded_crate_root(&ctx.path)
     };
     if root_check && !has_unsafe_gate(&ctx.toks, "forbid") {
-        // Roots on the deny list may use the weaker gate; everyone else
-        // must forbid.
-        let deny_ok =
-            UNSAFE_DENY_ROOTS.contains(&ctx.path.as_str()) && has_unsafe_gate(&ctx.toks, "deny");
-        if !deny_ok {
-            report.findings.push(Finding {
-                rule: RULE_UNSAFE,
-                file: ctx.path.clone(),
-                line: 1,
-                message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-            });
-        }
+        report.findings.push(Finding {
+            rule: RULE_UNSAFE,
+            file: ctx.path.clone(),
+            line: 1,
+            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+        });
     }
     for t in &ctx.toks {
         if t.kind != TokKind::Ident || t.text != "unsafe" {
             continue;
         }
-        // Scope check: `unsafe` may only appear in the sanctioned modules
+        // Scope check: `unsafe` may only appear in the sanctioned crate
         // (skipped in single-file fixture mode, where paths are synthetic).
         if !all_rules && !unsafe_allowed_file(&ctx.path) {
             report.findings.push(Finding {
                 rule: RULE_UNSAFE,
                 file: ctx.path.clone(),
                 line: t.line,
-                message: "`unsafe` outside the sanctioned modules (crates/parallel, \
-                          crates/pairing/src/arch/x86_64.rs)"
-                    .to_string(),
+                message: "`unsafe` outside the sanctioned crate (crates/parallel)".to_string(),
             });
         }
         if !ctx.safety_lines.contains(&t.line) {
@@ -1189,38 +1172,35 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_deny_root_is_accepted_only_for_the_pairing_crate() {
-        // pairing's root may downgrade to `deny` (its arch-intrinsics
-        // module opts back in with `allow`, which `forbid` would reject).
-        let ok = lint_one(
-            "crates/pairing/src/lib.rs",
-            "#![deny(unsafe_code)]\npub mod arch;",
-        );
-        assert!(ok.findings.is_empty(), "{:?}", ok.findings);
-        // Any other root must still forbid.
-        let bad = lint_one(
-            "crates/hash/src/lib.rs",
-            "#![deny(unsafe_code)]\npub fn f() {}",
-        );
-        assert_eq!(rules_of(&bad), vec![RULE_UNSAFE]);
-        // And an ungated pairing root still fires.
+    fn unsafe_deny_root_fires_on_every_crate_root() {
+        // `deny` can be lifted by a module-level `allow`; only `forbid`
+        // holds, so no root — the pairing crate's included — may use it.
+        for path in ["crates/pairing/src/lib.rs", "crates/hash/src/lib.rs"] {
+            let bad = lint_one(path, "#![deny(unsafe_code)]\npub mod arch;");
+            assert_eq!(rules_of(&bad), vec![RULE_UNSAFE], "{path}");
+        }
         let none = lint_one("crates/pairing/src/lib.rs", "pub fn f() {}");
         assert_eq!(rules_of(&none), vec![RULE_UNSAFE]);
+        let ok = lint_one(
+            "crates/pairing/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub mod arch;",
+        );
+        assert!(ok.findings.is_empty(), "{:?}", ok.findings);
     }
 
     #[test]
     fn unsafe_outside_sanctioned_modules_fires_even_with_safety_comment() {
         let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid for reads.\n    unsafe { *p }\n}";
-        let r = lint_one("crates/core/src/foo.rs", src);
-        assert_eq!(rules_of(&r), vec![RULE_UNSAFE], "{:?}", r.findings);
-        // The pairing arch-intrinsics module and parallel are sanctioned.
         for path in [
+            "crates/core/src/foo.rs",
             "crates/pairing/src/arch/x86_64.rs",
-            "crates/parallel/src/scope.rs",
         ] {
-            let ok = lint_one(path, src);
-            assert!(ok.findings.is_empty(), "{path}: {:?}", ok.findings);
+            let r = lint_one(path, src);
+            assert_eq!(rules_of(&r), vec![RULE_UNSAFE], "{path}: {:?}", r.findings);
         }
+        // Only parallel is sanctioned.
+        let ok = lint_one("crates/parallel/src/scope.rs", src);
+        assert!(ok.findings.is_empty(), "{:?}", ok.findings);
     }
 
     #[test]

@@ -13,9 +13,10 @@ use std::time::Instant;
 /// Measures the mean wall-clock milliseconds of `f` over `iters` calls
 /// after `warmup` unmeasured calls.
 ///
-/// A deliberately simple estimator for the experiment binaries — the
-/// Criterion benches are the rigorous source of timing numbers; the
-/// binaries only need table-of-magnitude figures to print paper-style rows.
+/// A deliberately simple estimator for the experiment binaries, which only
+/// need order-of-magnitude figures to print paper-style rows. The rigorous
+/// timing source is the repeatable benchmark in `perfbench/` (interleaved
+/// runs, end-to-end and per-layer metrics).
 pub fn measure_ms<T>(warmup: usize, iters: usize, mut f: impl FnMut() -> T) -> f64 {
     assert!(iters > 0, "need at least one measured iteration");
     for _ in 0..warmup {

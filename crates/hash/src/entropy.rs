@@ -23,14 +23,20 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::sha256::Sha256;
 
 /// Process-local uniqueness counter, consumed once per [`entropy_seed`]
-/// call. Module-scoped (rather than function-local) so tests can assert
-/// it advances exactly once per call under concurrency.
+/// call.
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A 32-byte seed mixing the OS CSPRNG (when readable), the wall clock,
 /// and a process-unique counter. Never blocks, never panics; each call
 /// returns a distinct value.
 pub fn entropy_seed() -> [u8; 32] {
+    seed_with(&COUNTER)
+}
+
+/// [`entropy_seed`] drawing its uniqueness from `counter`, which advances
+/// exactly once per call. Tests pass a counter of their own so that
+/// concurrent seeders elsewhere in the process cannot move it.
+fn seed_with(counter: &AtomicU64) -> [u8; 32] {
     let mut hasher = Sha256::new();
     hasher.update(b"seccloud-entropy-v1");
 
@@ -50,7 +56,7 @@ pub fn entropy_seed() -> [u8; 32] {
     // clock are both unavailable, so concurrent seeders must observe a
     // single total order of increments.
     // lint: ordering(counter is the sole uniqueness guarantee; increments need a single total order)
-    hasher.update(&COUNTER.fetch_add(1, Ordering::SeqCst).to_be_bytes());
+    hasher.update(&counter.fetch_add(1, Ordering::SeqCst).to_be_bytes());
     hasher.finalize()
 }
 
@@ -78,11 +84,16 @@ mod tests {
     fn concurrent_seeders_stay_distinct_and_advance_the_counter() {
         const THREADS: usize = 4;
         const CALLS: usize = 16;
+        // A counter of this test's own: sibling tests seeding through the
+        // global one in parallel cannot move it.
+        let counter = AtomicU64::new(0);
         // lint: ordering(SeqCst: the assertion below compares against concurrent SeqCst increments, so the snapshots must sit in the same total order)
-        let before = COUNTER.load(Ordering::SeqCst);
+        let before = counter.load(Ordering::SeqCst);
         let mut seeds: Vec<[u8; 32]> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
-                .map(|_| scope.spawn(|| (0..CALLS).map(|_| entropy_seed()).collect::<Vec<_>>()))
+                .map(|_| {
+                    scope.spawn(|| (0..CALLS).map(|_| seed_with(&counter)).collect::<Vec<_>>())
+                })
                 .collect();
             handles
                 .into_iter()
@@ -90,7 +101,7 @@ mod tests {
                 .collect()
         });
         // lint: ordering(SeqCst: the assertion below compares against concurrent SeqCst increments, so the snapshots must sit in the same total order)
-        let after = COUNTER.load(Ordering::SeqCst);
+        let after = counter.load(Ordering::SeqCst);
         assert_eq!(
             after - before,
             (THREADS * CALLS) as u64,

@@ -1,11 +1,21 @@
-//! The portable fast backend: unrolled schoolbook/CIOS limb arithmetic with
-//! branchless reductions, and lazy-reduction `Fp2` kernels that accumulate
-//! full 512-bit products and reduce once per output coefficient.
+//! Montgomery limb arithmetic: the six kernels every 4×64-limb field
+//! operation in this crate bottoms out in (`mont_mul`, `add_mod`,
+//! `sub_mod`, `neg_mod`, `fp2_mul`, `fp2_sqr`).
+//!
+//! Unrolled schoolbook/CIOS limb arithmetic with branchless reductions,
+//! and lazy-reduction `Fp2` kernels that accumulate full 512-bit products
+//! and reduce once per output coefficient. The contract for every public
+//! function: inputs are canonical Montgomery residues (`< m`, little-endian
+//! limbs), outputs are canonical Montgomery residues. Lazy (unreduced)
+//! intermediate forms never escape this module.
+//!
+//! `tests/arch_equivalence.rs` checks every kernel bit for bit against a
+//! strict loop-based CIOS oracle on edge-biased inputs.
 //!
 //! ## Lazy-reduction bounds (proved, not assumed)
 //!
 //! Let `R = 2²⁵⁶` and `p < 2²⁵⁴` (both BN254 moduli satisfy this). The
-//! Montgomery reduction [`redc`] of a 512-bit value `T` returns
+//! Montgomery reduction `redc` of a 512-bit value `T` returns
 //! `(T + k·p)/R` for some `k < R`, which is `< T/R + p`. Hence:
 //!
 //! * plain product: `T = a·b < p²` → result `< p²/R + p < 2p` — one
@@ -18,8 +28,7 @@
 //!   (because `4p < R`) → result `< 4p²/R + p < 2p` — one subtract.
 //!
 //! Every `T` above is `< p·R < 2²⁵⁵·R`, so the reduction's high half plus
-//! its carry bit never overflows 512 bits. All functions return canonical
-//! (`< p`) limbs; the unreduced forms live and die inside this module.
+//! its carry bit never overflows 512 bits.
 
 use seccloud_bigint::{adc, mac, sbb};
 
@@ -56,7 +65,7 @@ fn sub_if_above(r: &[u64; 4], hi: u64, m: &[u64; 4]) -> [u64; 4] {
 
 /// Full 256×256 → 512-bit schoolbook product.
 #[inline(always)]
-pub(super) fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
     let mut t = [0u64; 8];
     let mut c;
     // i = 0
@@ -88,7 +97,7 @@ pub(super) fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
 
 /// 512-bit add (caller guarantees the true sum fits 512 bits).
 #[inline(always)]
-pub(super) fn wide_add(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
+fn wide_add(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
     let mut t = [0u64; 8];
     let mut c = 0;
     let mut i = 0;
@@ -102,7 +111,7 @@ pub(super) fn wide_add(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
 
 /// 512-bit subtract (caller guarantees `a ≥ b`).
 #[inline(always)]
-pub(super) fn wide_sub(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
+fn wide_sub(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
     let mut t = [0u64; 8];
     let mut bw = 0;
     let mut i = 0;
@@ -118,7 +127,7 @@ pub(super) fn wide_sub(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
 /// residue `T·R⁻¹ mod m` (single branchless conditional subtract — see the
 /// module-level bounds proof).
 #[inline(always)]
-pub(super) fn redc(t: [u64; 8], m: &[u64; 4], inv: u64) -> [u64; 4] {
+fn redc(t: [u64; 8], m: &[u64; 4], inv: u64) -> [u64; 4] {
     let [t0, mut t1, mut t2, mut t3, mut t4, mut t5, mut t6, mut t7] = t;
     let mut carry2 = 0u64;
 
@@ -216,8 +225,8 @@ pub fn neg_mod(a: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
 }
 
 /// Lazy-reduction Karatsuba `Fp2` product: three 512-bit products, 512-bit
-/// accumulation, and exactly **two** Montgomery reductions (vs three in the
-/// strict backend). `m2` must be the 512-bit value `m²`.
+/// accumulation, and exactly **two** Montgomery reductions (vs three for a
+/// strict Karatsuba). `m2` must be the 512-bit value `m²`.
 #[inline]
 pub fn fp2_mul(
     a0: &[u64; 4],
@@ -254,4 +263,24 @@ pub fn fp2_sqr(a0: &[u64; 4], a1: &[u64; 4], m: &[u64; 4], inv: u64) -> ([u64; 4
     let c0 = redc(mul_wide(&s, &d), m, inv);
     let c1 = redc(mul_wide(a0, &a1x2), m, inv);
     (c0, c1)
+}
+
+/// The name of the arithmetic backend, for reports that record it.
+///
+/// There is one backend, so this only ever names it. It stays because the
+/// benchmark in `perfbench/` prints `active().name()` on its `environment`
+/// line (and `bench_pairing` records it as `arch_backend`).
+#[derive(Clone, Copy, Debug)]
+pub struct Backend;
+
+impl Backend {
+    /// `"generic"`: the portable kernels above.
+    pub fn name(&self) -> &'static str {
+        "generic"
+    }
+}
+
+/// The backend the kernels run on (see [`Backend`]).
+pub fn active() -> Backend {
+    Backend
 }

@@ -2,7 +2,7 @@
 //!
 //! Preparing a `G2` point (recording its Miller-loop line coefficients)
 //! costs roughly one unprepared Miller loop — about 0.7–1.25 ms depending
-//! on the arithmetic backend. A designated agency serving many tenants
+//! on the host. A designated agency serving many tenants
 //! pairs against the *same* handful of verifier keys millions of times per
 //! epoch, so re-preparing per lookup is the difference between a few
 //! hundred and a few hundred thousand verifications per second. This

@@ -158,7 +158,7 @@ impl FieldElement for Fp2 {
     }
 
     fn mul(&self, rhs: &Self) -> Self {
-        // Karatsuba over u² = −1, delegated whole to the active backend so
+        // Karatsuba over u² = −1, delegated whole to the `arch` kernel so
         // the lazy-reduction kernels can batch the reductions.
         let (c0, c1) = crate::arch::fp2_mul(
             self.c0.repr(),
@@ -173,7 +173,7 @@ impl FieldElement for Fp2 {
     }
 
     fn square(&self) -> Self {
-        // (a + bu)² = (a+b)(a−b) + 2ab·u, on the active backend.
+        // (a + bu)² = (a+b)(a−b) + 2ab·u, in one `arch` kernel.
         let (c0, c1) =
             crate::arch::fp2_sqr(self.c0.repr(), self.c1.repr(), &Fp::MODULUS, Fp::NEG_INV);
         Self::new(Fp::from_repr_unchecked(c0), Fp::from_repr_unchecked(c1))

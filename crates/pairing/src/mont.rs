@@ -43,8 +43,8 @@ pub const fn mont_neg_inv(m0: u64) -> u64 {
 }
 
 /// Computes the full 512-bit square `m²` of a 4-limb modulus at compile
-/// time. The lazy-reduction backends add `m²` to keep `a₀b₀ − a₁b₁`
-/// non-negative before a single Montgomery reduction (see `arch::generic`).
+/// time. The lazy-reduction `Fp2` kernels add `m²` to keep `a₀b₀ − a₁b₁`
+/// non-negative before a single Montgomery reduction (see [`crate::arch`]).
 pub const fn mont_m2(m: [u64; 4]) -> [u64; 8] {
     let mut t = [0u64; 8];
     let mut i = 0;
@@ -207,10 +207,10 @@ macro_rules! mont_field {
         impl $name {
             /// The field modulus as little-endian limbs.
             pub const MODULUS: [u64; 4] = $crate::mont::parse_hex_limbs($modulus_hex);
-            /// The Montgomery constant `-m⁻¹ mod 2⁶⁴` (backend plumbing).
+            /// The Montgomery constant `-m⁻¹ mod 2⁶⁴` (`arch` kernel plumbing).
             #[doc(hidden)]
             pub const NEG_INV: u64 = $crate::mont::mont_neg_inv(Self::MODULUS[0]);
-            /// The full 512-bit `m²` (lazy-reduction backend plumbing).
+            /// The full 512-bit `m²` (lazy-reduction `arch` kernel plumbing).
             #[doc(hidden)]
             pub const M2: [u64; 8] = $crate::mont::mont_m2(Self::MODULUS);
             const R2: [u64; 4] = $crate::mont::mont_r2(Self::MODULUS);
@@ -388,7 +388,7 @@ macro_rules! mont_field {
                 $crate::arch::mont_mul(a, b, &Self::MODULUS, Self::NEG_INV)
             }
 
-            /// The raw Montgomery-form limbs (backend plumbing; always the
+            /// The raw Montgomery-form limbs (`arch` kernel plumbing; always the
             /// canonical representative `< m`).
             #[doc(hidden)]
             #[inline]
@@ -398,7 +398,7 @@ macro_rules! mont_field {
 
             /// Rebuilds an element from raw Montgomery-form limbs. The
             /// caller must pass a canonical (`< m`) representative, as
-            /// produced by every `arch` backend function.
+            /// produced by every `arch` kernel.
             #[doc(hidden)]
             #[inline]
             pub fn from_repr_unchecked(repr: [u64; 4]) -> Self {

@@ -1,27 +1,124 @@
-//! Backend-equivalence property suite: every arithmetic backend must be
-//! bit-for-bit indistinguishable from the strict `Reference` oracle.
+//! Kernel-equivalence property suite: every `arch` kernel must be bit for
+//! bit equal to the strict oracle in `mod reference` below.
 //!
-//! The limb-level properties drive each backend through `arch::*_with`
-//! (explicit backend — no global state), so they exercise whichever
-//! backends this machine supports, including the MULX/ADCX path when the
-//! CPU has BMI2+ADX. Generators mix uniform residues with the adversarial
-//! edge values for lazy reduction: `0`, `1`, `2`, `p−1`, `p−2`, `(p−1)/2`
-//! and the Montgomery image of one. Non-canonical raw integers (`p ± ε`)
-//! are covered through the `from_u256` canonicalization property.
+//! The oracle is the crate's original field arithmetic: loop-based CIOS
+//! Montgomery multiplication and `U256` round-trip add/sub, reducing
+//! eagerly so no value wider than 4 limbs survives past one operation. It
+//! lives here, not in the crate, because nothing but this suite runs it.
 //!
-//! Run the whole suite under a forced backend with e.g.
-//! `SECCLOUD_ARCH=generic cargo test` — the env override changes the
-//! auto-detected backend that all high-level code (`pairing`, GLV, the
-//! tower) dispatches through, while these properties still compare every
-//! available backend pairwise.
+//! Generators mix uniform residues with the adversarial edge values for
+//! lazy reduction: `0`, `1`, `2`, `p−1`, `p−2`, `(p−1)/2` and the
+//! Montgomery image of one. Non-canonical raw integers (`p ± ε`) are
+//! covered through the `from_u256` canonicalization property.
 
 use seccloud_bigint::U256;
-use seccloud_pairing::arch::{self, Backend};
+use seccloud_pairing::arch;
 use seccloud_pairing::{
-    hash_to_g1, hash_to_g2, pairing, pairing_prepared, FieldElement, Fp, Fp12, Fp2, Fp6, Fr,
-    G2Prepared, G1,
+    hash_to_g1, hash_to_g2, pairing, pairing_prepared, FieldElement, Fp, Fp2, Fr, G2Prepared, G1,
 };
 use seccloud_testkit::{forall, Tape};
+
+/// The strict oracle: no lazy reduction, no unrolling.
+mod reference {
+    use seccloud_bigint::{adc, mac, U256};
+
+    /// Loop-based CIOS Montgomery multiplication with a strict final subtract.
+    pub fn mont_mul(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4], inv: u64) -> [u64; 4] {
+        let mut t = [0u64; 6];
+        for &ai in a.iter() {
+            let mut carry = 0;
+            for j in 0..4 {
+                let (lo, c) = mac(t[j], ai, b[j], carry);
+                t[j] = lo;
+                carry = c;
+            }
+            let (lo, c) = adc(t[4], carry, 0);
+            t[4] = lo;
+            t[5] = c;
+
+            let k = t[0].wrapping_mul(inv);
+            let (_, mut carry) = mac(t[0], k, m[0], 0);
+            for j in 1..4 {
+                let (lo, c) = mac(t[j], k, m[j], carry);
+                t[j - 1] = lo;
+                carry = c;
+            }
+            let (lo, c) = adc(t[4], carry, 0);
+            t[3] = lo;
+            t[4] = t[5] + c;
+            t[5] = 0;
+        }
+        let mut out = U256::from_limbs([t[0], t[1], t[2], t[3]]);
+        let modulus = U256::from_limbs(*m);
+        if t[4] != 0 || out >= modulus {
+            out = out.wrapping_sub(&modulus);
+        }
+        *out.limbs()
+    }
+
+    /// Modular addition via `U256` round-trips.
+    pub fn add_mod(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
+        let a = U256::from_limbs(*a);
+        let b = U256::from_limbs(*b);
+        let m = U256::from_limbs(*m);
+        // a, b < m < 2²⁵⁵ so no carry out of 256 bits.
+        let mut s = a.wrapping_add(&b);
+        if s >= m {
+            s = s.wrapping_sub(&m);
+        }
+        *s.limbs()
+    }
+
+    /// Modular subtraction via `U256` round-trips.
+    pub fn sub_mod(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
+        let a = U256::from_limbs(*a);
+        let b = U256::from_limbs(*b);
+        let (mut d, borrow) = a.overflowing_sub(&b);
+        if borrow {
+            d = d.wrapping_add(&U256::from_limbs(*m));
+        }
+        *d.limbs()
+    }
+
+    /// Modular negation via `U256`.
+    pub fn neg_mod(a: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
+        if *a == [0u64; 4] {
+            return *a;
+        }
+        let m = U256::from_limbs(*m);
+        let v = U256::from_limbs(*a);
+        *m.wrapping_sub(&v).limbs()
+    }
+
+    /// Strict Karatsuba `Fp2` product (3 reduced multiplications).
+    pub fn fp2_mul(
+        a0: &[u64; 4],
+        a1: &[u64; 4],
+        b0: &[u64; 4],
+        b1: &[u64; 4],
+        m: &[u64; 4],
+        inv: u64,
+    ) -> ([u64; 4], [u64; 4]) {
+        let aa = mont_mul(a0, b0, m, inv);
+        let bb = mont_mul(a1, b1, m, inv);
+        let sa = add_mod(a0, a1, m);
+        let sb = add_mod(b0, b1, m);
+        let sum = mont_mul(&sa, &sb, m, inv);
+        let c0 = sub_mod(&aa, &bb, m);
+        let c1 = sub_mod(&sub_mod(&sum, &aa, m), &bb, m);
+        (c0, c1)
+    }
+
+    /// Strict `Fp2` square `(a+b)(a−b) + 2ab·u` (2 reduced multiplications).
+    pub fn fp2_sqr(a0: &[u64; 4], a1: &[u64; 4], m: &[u64; 4], inv: u64) -> ([u64; 4], [u64; 4]) {
+        let plus = add_mod(a0, a1, m);
+        let minus = sub_mod(a0, a1, m);
+        let c0 = mont_mul(&plus, &minus, m, inv);
+        let cross = mont_mul(a0, a1, m, inv);
+        let c1 = add_mod(&cross, &cross, m);
+        (c0, c1)
+    }
+}
 
 /// A canonical residue mod `p`, biased heavily toward reduction edges.
 fn fp_limbs(t: &mut Tape) -> [u64; 4] {
@@ -42,21 +139,19 @@ fn fp_limbs(t: &mut Tape) -> [u64; 4] {
 }
 
 #[test]
-fn mont_mul_matches_reference_on_every_backend() {
+fn mont_mul_matches_reference() {
     forall(
         "arch/mont_mul",
         |t| (fp_limbs(t), fp_limbs(t)),
         |(a, b)| {
             let m = &Fp::MODULUS;
-            let want = arch::mont_mul_with(Backend::Reference, a, b, m, Fp::NEG_INV);
-            for bk in Backend::available() {
-                let got = arch::mont_mul_with(bk, a, b, m, Fp::NEG_INV);
-                if got != want {
-                    return Err(format!("{bk:?}: {got:?} != reference {want:?}"));
-                }
-                if U256::from_limbs(got) >= Fp::modulus() {
-                    return Err(format!("{bk:?}: non-canonical output {got:?}"));
-                }
+            let want = reference::mont_mul(a, b, m, Fp::NEG_INV);
+            let got = arch::mont_mul(a, b, m, Fp::NEG_INV);
+            if got != want {
+                return Err(format!("{got:?} != reference {want:?}"));
+            }
+            if U256::from_limbs(got) >= Fp::modulus() {
+                return Err(format!("non-canonical output {got:?}"));
             }
             Ok(())
         },
@@ -64,34 +159,20 @@ fn mont_mul_matches_reference_on_every_backend() {
 }
 
 #[test]
-fn add_sub_neg_match_reference_on_every_backend() {
+fn add_sub_neg_match_reference() {
     forall(
         "arch/add_sub_neg",
         |t| (fp_limbs(t), fp_limbs(t)),
         |(a, b)| {
             let m = &Fp::MODULUS;
-            for bk in Backend::available() {
-                let trio = [
-                    (
-                        "add",
-                        arch::add_mod_with(bk, a, b, m),
-                        arch::add_mod_with(Backend::Reference, a, b, m),
-                    ),
-                    (
-                        "sub",
-                        arch::sub_mod_with(bk, a, b, m),
-                        arch::sub_mod_with(Backend::Reference, a, b, m),
-                    ),
-                    (
-                        "neg",
-                        arch::neg_mod_with(bk, a, m),
-                        arch::neg_mod_with(Backend::Reference, a, m),
-                    ),
-                ];
-                for (op, got, want) in trio {
-                    if got != want {
-                        return Err(format!("{bk:?} {op}: {got:?} != {want:?}"));
-                    }
+            let trio = [
+                ("add", arch::add_mod(a, b, m), reference::add_mod(a, b, m)),
+                ("sub", arch::sub_mod(a, b, m), reference::sub_mod(a, b, m)),
+                ("neg", arch::neg_mod(a, m), reference::neg_mod(a, m)),
+            ];
+            for (op, got, want) in trio {
+                if got != want {
+                    return Err(format!("{op}: {got:?} != {want:?}"));
                 }
             }
             Ok(())
@@ -100,24 +181,21 @@ fn add_sub_neg_match_reference_on_every_backend() {
 }
 
 #[test]
-fn fp2_kernels_match_reference_on_every_backend() {
+fn fp2_kernels_match_reference() {
     forall(
         "arch/fp2_mul_sqr",
         |t| (fp_limbs(t), fp_limbs(t), fp_limbs(t), fp_limbs(t)),
         |(a0, a1, b0, b1)| {
             let m = &Fp::MODULUS;
-            let want_mul =
-                arch::fp2_mul_with(Backend::Reference, a0, a1, b0, b1, m, &Fp::M2, Fp::NEG_INV);
-            let want_sqr = arch::fp2_sqr_with(Backend::Reference, a0, a1, m, Fp::NEG_INV);
-            for bk in Backend::available() {
-                let got_mul = arch::fp2_mul_with(bk, a0, a1, b0, b1, m, &Fp::M2, Fp::NEG_INV);
-                if got_mul != want_mul {
-                    return Err(format!("{bk:?} fp2_mul: {got_mul:?} != {want_mul:?}"));
-                }
-                let got_sqr = arch::fp2_sqr_with(bk, a0, a1, m, Fp::NEG_INV);
-                if got_sqr != want_sqr {
-                    return Err(format!("{bk:?} fp2_sqr: {got_sqr:?} != {want_sqr:?}"));
-                }
+            let want_mul = reference::fp2_mul(a0, a1, b0, b1, m, Fp::NEG_INV);
+            let got_mul = arch::fp2_mul(a0, a1, b0, b1, m, &Fp::M2, Fp::NEG_INV);
+            if got_mul != want_mul {
+                return Err(format!("fp2_mul: {got_mul:?} != {want_mul:?}"));
+            }
+            let want_sqr = reference::fp2_sqr(a0, a1, m, Fp::NEG_INV);
+            let got_sqr = arch::fp2_sqr(a0, a1, m, Fp::NEG_INV);
+            if got_sqr != want_sqr {
+                return Err(format!("fp2_sqr: {got_sqr:?} != {want_sqr:?}"));
             }
             Ok(())
         },
@@ -182,49 +260,22 @@ fn vartime_inverse_matches_fermat_inverse() {
     );
 }
 
-/// Whole-protocol equivalence under each backend via the process-wide
-/// switch: pairings, the tower, and GLV must produce identical canonical
-/// values no matter which backend computed them. Runs in one test fn so
-/// the `set_backend` round-trip is not racing itself.
 #[test]
-fn full_pairing_and_glv_agree_across_backends() {
-    let initial = arch::active();
+fn pairing_is_bilinear_and_prepared_agrees() {
+    // The kernels above feed the whole tower; a pairing that is bilinear
+    // and equal to its prepared form is the protocol-level cross-check
+    // (`tests/backends.rs` adds ate-vs-Tate).
     let p = hash_to_g1(b"arch-eq-p").to_affine();
     let q = hash_to_g2(b"arch-eq-q").to_affine();
-    let q_prep = G2Prepared::from(&q);
     let k = Fr::hash(b"arch-eq-k");
-    let x2 = Fp2::from_hash(b"arch-eq", b"x2");
-    let x12 = Fp12::new(
-        Fp6::new(x2, x2.square(), x2.neg()),
-        Fp6::new(x2.add(&x2), x2, x2.square().square()),
-    );
-
-    let mut results = Vec::new();
-    for bk in Backend::available() {
-        arch::set_backend(bk);
-        results.push((
-            bk,
-            pairing(&p, &q),
-            pairing_prepared(&p, &q_prep),
-            G1::generator().mul_fr(&k),
-            x12.mul(&x12.square()),
-            x12.inverse().expect("nonzero"),
-        ));
-    }
-    arch::set_backend(initial);
-
-    let (_, e0, ep0, g0, m0, i0) = &results[0];
-    for (bk, e, ep, g, m, i) in &results[1..] {
-        assert_eq!(e, e0, "pairing differs on {bk:?}");
-        assert_eq!(ep, ep0, "prepared pairing differs on {bk:?}");
-        assert_eq!(g, g0, "GLV scalar mul differs on {bk:?}");
-        assert_eq!(m, m0, "Fp12 mul differs on {bk:?}");
-        assert_eq!(i, i0, "Fp12 inverse differs on {bk:?}");
-    }
-    // And the pairing value is a genuine pairing (consistency, not just
-    // backend agreement): bilinearity spot-check on the first backend.
+    assert_eq!(pairing(&p, &q), pairing_prepared(&p, &G2Prepared::from(&q)));
     assert_eq!(
         pairing(&G1::generator().mul_fr(&k).to_affine(), &q),
         pairing(&G1::generator().to_affine(), &q).pow(&k),
     );
+}
+
+#[test]
+fn the_only_backend_is_named_generic() {
+    assert_eq!(arch::active().name(), "generic");
 }

@@ -150,7 +150,10 @@ fn definition_2_privacy_preserving() {
 fn batch_saves_pairings_in_practice() {
     // Ground-truth timing sanity (loose 2x bound, not a microbenchmark):
     // batching 8 signatures must be at least 2× faster than individual.
-    use std::time::Instant;
+    // One trial is at the mercy of host load, so the bound applies to the
+    // medians of TRIALS alternating batch/individual trials.
+    use std::time::{Duration, Instant};
+    const TRIALS: usize = 7;
     let sio = MasterKey::from_seed(b"speed");
     let server = sio.extract_verifier("cs");
     let items: Vec<BatchItem> = (0..8)
@@ -166,20 +169,28 @@ fn batch_saves_pairings_in_practice() {
         })
         .collect();
 
-    let start = Instant::now();
-    assert!(seccloud::ibs::verify_individually(&items, &server).is_none());
-    let individual = start.elapsed();
+    let mut individual = Vec::with_capacity(TRIALS);
+    let mut batched = Vec::with_capacity(TRIALS);
+    for _ in 0..TRIALS {
+        let start = Instant::now();
+        assert!(seccloud::ibs::verify_individually(&items, &server).is_none());
+        individual.push(start.elapsed());
 
-    let start = Instant::now();
-    let mut batch = BatchVerifier::new();
-    for item in &items {
-        batch.push_item(item);
+        let start = Instant::now();
+        let mut batch = BatchVerifier::new();
+        for item in &items {
+            batch.push_item(item);
+        }
+        assert!(batch.verify(&server));
+        batched.push(start.elapsed());
     }
-    assert!(batch.verify(&server));
-    let batched = start.elapsed();
-
+    let median = |v: &mut Vec<Duration>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let (batched, individual) = (median(&mut batched), median(&mut individual));
     assert!(
         batched * 2 < individual,
-        "batch {batched:?} vs individual {individual:?}"
+        "median batch {batched:?} vs median individual {individual:?} over {TRIALS} trials"
     );
 }
