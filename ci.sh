@@ -36,21 +36,6 @@ if ! diff -u target/seccloud-lint-t1.json target/seccloud-lint-t4.json; then
     exit 1
 fi
 
-echo "== seccloud-lint fixture suites (each rule catches its seeded violation, passes its clean twin) =="
-for bad in panic index secret ct unsafe transport taint_bad panic_path_bad \
-           arith_bad dispatch_bad ctflow_bad vartime_bad atomics_bad \
-           locks_bad blocking_bad deadline_bad; do
-    if ./target/release/seccloud-lint "crates/analyzer/tests/fixtures/${bad}.rs" > /dev/null; then
-        echo "fixture ${bad}.rs should have tripped its rule (exit 1), but passed"
-        exit 1
-    fi
-done
-for clean in clean taint_clean panic_path_clean arith_clean dispatch_clean \
-             ctflow_clean vartime_clean atomics_clean \
-             locks_clean blocking_clean deadline_clean; do
-    ./target/release/seccloud-lint "crates/analyzer/tests/fixtures/${clean}.rs" > /dev/null
-done
-
 echo "== seccloud-lint SARIF artifact: valid JSON with the expected rule ids =="
 ./target/release/seccloud-lint --format sarif > target/seccloud-lint.sarif
 python3 - <<'EOF'

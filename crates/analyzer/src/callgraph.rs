@@ -850,7 +850,8 @@ pub fn check_panic_path(
     }
 }
 
-fn qualified(f: &FnNode) -> String {
+/// `Owner::name` for methods, `name` for free fns.
+pub(crate) fn qualified(f: &FnNode) -> String {
     match &f.owner {
         Some(o) => format!("{o}::{}", f.name),
         None => f.name.clone(),

@@ -45,7 +45,7 @@ use crate::blocking::{
     classify_unresolved_call, classify_unresolved_method, is_pairing_entry, kind_names, NetSummary,
     B_SOCKET,
 };
-use crate::callgraph::{Typer, Workspace};
+use crate::callgraph::{qualified, Typer, Workspace};
 use crate::rules::{FileCtx, Finding, Report, RULE_BLOCKING, RULE_LOCKS};
 
 /// Methods whose return value still carries (or restores) the receiver's
@@ -878,13 +878,6 @@ fn single_path(e: &Expr) -> Option<&str> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-fn qualified(f: &crate::callgraph::FnNode) -> String {
-    match &f.owner {
-        Some(o) => format!("{o}::{}", f.name),
-        None => f.name.clone(),
     }
 }
 

@@ -52,12 +52,13 @@ pub const RULE_PANIC_PATH: &str = "panic_path";
 pub const RULE_INDEX: &str = "index";
 /// Rule id: secret hygiene.
 pub const RULE_SECRET: &str = "secret";
-/// Rule id: interprocedural secret taint flow.
+/// Rule id: interprocedural secret flow to format/wire sinks (leak lane).
 pub const RULE_TAINT: &str = "taint";
-/// Rule id: constant-time discipline (token-level fallback tier; the
-/// dataflow-backed [`RULE_CTFLOW`] suppresses duplicates at the same site).
+/// Rule id: constant-time discipline on digest-named operands — the only
+/// rule that sees digests held as plain bytes (a finding at a site where
+/// [`RULE_CTFLOW`] also fired is dropped as a duplicate).
 pub const RULE_CT: &str = "ct";
-/// Rule id: interprocedural constant-time dataflow (timing sinks).
+/// Rule id: interprocedural secret flow to timing sinks (timing lane).
 pub const RULE_CTFLOW: &str = "ctflow";
 /// Rule id: variable-time primitives reachable from secret inputs.
 pub const RULE_VARTIME: &str = "vartime";
@@ -181,7 +182,7 @@ const CT_SEGMENTS: [&str; 5] = ["digest", "tag", "mac", "hmac", "root"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Macros whose arguments are formatted — a secret value reaching one of
-/// these is a leak vector (shared with the taint engine).
+/// these is a leak vector (the secret-flow engine's leak-lane sinks).
 pub(crate) const FORMAT_MACROS: [&str; 18] = [
     "format",
     "format_args",
@@ -204,7 +205,7 @@ pub(crate) const FORMAT_MACROS: [&str; 18] = [
 ];
 
 /// A lexed file plus the structural facts rules need. The AST-backed
-/// rules ([`crate::callgraph`], [`crate::taint`]) consume it for the
+/// rules ([`crate::callgraph`], [`crate::secretflow`]) consume it for the
 /// annotation and test-line maps.
 pub struct FileCtx {
     /// Workspace-relative path with `/` separators.
@@ -319,15 +320,16 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
 
     // AST-backed interprocedural rules: parse every file (in parallel —
     // parsing is per-file), build the workspace call graph, then run panic
-    // reachability, taint flow, constant-time dataflow, arithmetic, and
+    // reachability, secret flow (leak and timing lanes), arithmetic, and
     // dispatch analyses over it. The fixpoint passes themselves stay
     // sequential: they iterate shared whole-program summaries.
     let parsed: Vec<(String, crate::ast::Ast)> =
         seccloud_parallel::parallel_map(&ctxs, |_, c| (c.path.clone(), crate::ast::parse(&c.toks)));
     phase("parse", &mut mark);
     let ws = crate::callgraph::Workspace::build(parsed);
-    // One shared type environment per fn: the taint and ctflow passes
-    // (fixpoint + reporting each) would otherwise rebuild it 4x per fn.
+    // One shared type environment per fn: the secret-flow, deadline and
+    // locks passes each analyse a fn in several fixpoint rounds plus one
+    // reporting walk, and would otherwise rebuild it every time.
     let typers: Vec<crate::callgraph::Typer<'_>> = ws
         .fns
         .iter()
@@ -338,7 +340,7 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
     crate::callgraph::check_panic_path(&ws, &ctx_map, all_rules, &mut report);
     phase("panic_path", &mut mark);
     let secret_names: HashSet<String> = secrets.iter().map(|s| s.name.clone()).collect();
-    crate::taint::check_taint(
+    crate::secretflow::check_secret_flow(
         &ws,
         &typers,
         &ctx_map,
@@ -346,16 +348,7 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
         all_rules,
         &mut report,
     );
-    phase("taint", &mut mark);
-    crate::ctflow::check_ctflow(
-        &ws,
-        &typers,
-        &ctx_map,
-        &secret_names,
-        all_rules,
-        &mut report,
-    );
-    phase("ctflow", &mut mark);
+    phase("secretflow", &mut mark);
     crate::astrules::check_arith(&ws, &ctx_map, all_rules, &mut report);
     crate::astrules::check_dispatch(&ws, &ctx_map, all_rules, &mut report);
     phase("arith+dispatch", &mut mark);
@@ -367,8 +360,9 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
     crate::locks::check_locks(&ws, &typers, &ctx_map, &net, &mut report);
     phase("locks+blocking", &mut mark);
 
-    // Fallback tier: the token-level `ct` heuristic stands down wherever
-    // the dataflow-backed `ctflow` rule covered the same site.
+    // `ct` is the only rule that sees digests held as plain bytes (no
+    // secret type to seed the dataflow); where `ctflow` flagged the same
+    // site, the `ct` finding is a duplicate and is dropped.
     let ctflow_sites: HashSet<(String, u32)> = report
         .findings
         .iter()

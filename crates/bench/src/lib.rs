@@ -29,6 +29,56 @@ pub fn measure_ms<T>(warmup: usize, iters: usize, mut f: impl FnMut() -> T) -> f
     start.elapsed().as_secs_f64() * 1_000.0 / iters as f64
 }
 
+/// Trials per arm in [`interleaved_trials_ms`].
+pub const TRIALS: usize = 7;
+
+/// One arm's per-trial milliseconds, in trial order.
+#[derive(Clone, Copy, Debug)]
+pub struct Trials(pub [f64; TRIALS]);
+
+impl Trials {
+    /// `[p25, median, p75]`, linearly interpolated between order
+    /// statistics.
+    pub fn quartiles(&self) -> [f64; 3] {
+        let mut s = self.0;
+        s.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (TRIALS - 1) as f64;
+            let (lo, frac) = (pos.floor() as usize, pos.fract());
+            s[lo] + frac * (s[(lo + 1).min(TRIALS - 1)] - s[lo])
+        };
+        [at(0.25), at(0.5), at(0.75)]
+    }
+
+    /// Applies `f` to each trial, e.g. ms → ops/s.
+    pub fn each(&self, f: impl Fn(f64) -> f64) -> Trials {
+        Trials(self.0.map(f))
+    }
+
+    /// Per-trial `self / other`: arms timed in the same trial share the
+    /// host's state, so their ratio is steadier than a ratio of medians.
+    pub fn ratio(&self, other: &Trials) -> Trials {
+        Trials(std::array::from_fn(|i| self.0[i] / other.0[i]))
+    }
+}
+
+/// Times every arm over [`TRIALS`] trials, each trial one [`measure_ms`]
+/// (one warm-up call, then the mean of `iters` calls) per arm. The arms
+/// run interleaved within a trial, so a slow phase of the host lands on
+/// all of them rather than on one.
+pub fn interleaved_trials_ms<const N: usize>(
+    iters: usize,
+    mut arms: [&mut dyn FnMut(); N],
+) -> [Trials; N] {
+    let mut out = [Trials([0.0; TRIALS]); N];
+    for t in 0..TRIALS {
+        for (arm, trials) in arms.iter_mut().zip(&mut out) {
+            trials.0[t] = measure_ms(1, iters, &mut **arm);
+        }
+    }
+    out
+}
+
 /// Formats a milliseconds value with adaptive precision.
 pub fn fmt_ms(ms: f64) -> String {
     if ms >= 100.0 {
@@ -114,6 +164,21 @@ mod tests {
         });
         assert!(ms > 0.0);
         assert!(ms < 1_000.0, "a 1k-iteration loop is not a second");
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        let t = Trials([7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0]);
+        assert_eq!(t.quartiles(), [2.5, 4.0, 5.5]);
+        assert_eq!(t.ratio(&t).quartiles(), [1.0; 3]);
+    }
+
+    #[test]
+    fn interleaved_trials_time_every_arm() {
+        let (mut a, mut b) = (0, 0);
+        let trials = interleaved_trials_ms(2, [&mut || a += 1, &mut || b += 1]);
+        assert_eq!((a, b), (TRIALS * 3, TRIALS * 3));
+        assert!(trials.iter().all(|t| t.0.iter().all(|&ms| ms >= 0.0)));
     }
 
     #[test]
